@@ -33,17 +33,6 @@ workload: few heavy components, nothing serial downstream).  Note the
 proc speedups are hardware-bound: a single-core container time-slices
 the workers and reports ~1x regardless of the backend's scaling.
 
-``tc_chain``, ``same_generation``, and ``wide_dag`` also carry
-**intra-component partitioning** rows (``part2``/``part4``): the
-greedy/columnar configuration at ``jobs=1`` with each semi-naive
-round's delta hash-split across 2/4 process partition workers inside
-the component fixpoint (``partN_vs_jobs1`` speedups) — the axis that
-helps exactly where ``jobs`` cannot, a program that is one recursive
-SCC.  Every labelled row pins ``partitions`` explicitly, and like the
-procN rows the partN speedups read <= 1x on a 1-CPU container by
-construction; ``--require-part-speedup`` gates the multi-core win in
-hosted CI.
-
 The churn workload measures **incremental view maintenance**
 (`repro/engine/incremental.py`) against the from-scratch alternative:
 one `IncrementalSession` absorbs a deterministic insert/delete script
@@ -101,22 +90,19 @@ from repro.workloads.synthetic import (
 #: (row label, seminaive_eval kwargs); greedy is the historical
 #: "compiled" configuration, so trajectory comparisons stay meaningful.
 #: Every row pins ``jobs`` (and, where >1, ``backend``) plus ``exec``
-#: and ``partitions`` explicitly so an inherited ``REPRO_JOBS``/
-#: ``REPRO_BACKEND``/``REPRO_EXEC``/``REPRO_PARTITIONS`` cannot
-#: silently change which executor, execution mode, or partitioning a
-#: labelled row measures.
+#: explicitly so an inherited ``REPRO_JOBS``/``REPRO_BACKEND``/
+#: ``REPRO_EXEC`` cannot silently change which executor or execution
+#: mode a labelled row measures.
 BACKENDS = (
     (
         "greedy",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
+        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar"},
     ),
     (
         "cost",
-        {"use_plans": True, "planner": "cost", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
+        {"use_plans": True, "planner": "cost", "jobs": 1, "exec": "columnar"},
     ),
-    ("legacy", {"use_plans": False, "jobs": 1, "partitions": 1}),
+    ("legacy", {"use_plans": False, "jobs": 1}),
 )
 
 #: Execution-mode rows: the greedy configuration batch-at-a-time over
@@ -125,13 +111,11 @@ BACKENDS = (
 EXEC_BACKENDS = (
     (
         "columnar",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
+        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar"},
     ),
     (
         "tuple",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "tuple",
-         "partitions": 1},
+        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "tuple"},
     ),
 )
 
@@ -140,8 +124,7 @@ EXEC_BACKENDS = (
 JOBS_BACKENDS = (
     (
         "jobs1",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
+        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar"},
     ),
     (
         "jobs2",
@@ -151,7 +134,6 @@ JOBS_BACKENDS = (
             "jobs": 2,
             "backend": "thread",
             "exec": "columnar",
-            "partitions": 1,
         },
     ),
 )
@@ -167,7 +149,6 @@ PROC_BACKENDS = (
             "jobs": 2,
             "backend": "process",
             "exec": "columnar",
-            "partitions": 1,
         },
     ),
     (
@@ -178,40 +159,6 @@ PROC_BACKENDS = (
             "jobs": 4,
             "backend": "process",
             "exec": "columnar",
-            "partitions": 1,
-        },
-    ),
-)
-
-#: Intra-component partitioning rows: the greedy configuration with
-#: each round's delta hash-split across two / four process partition
-#: workers *inside* one SCC fixpoint (``jobs`` stays 1 — this is the
-#: axis that helps precisely where ``jobs`` cannot: single-component
-#: programs like tc_chain and same_generation).  Like the procN rows
-#: these are hardware-bound: on a 1-CPU container the partition
-#: workers time-slice one core and ``partN_vs_jobs1`` reads <= 1x by
-#: construction.
-PART_BACKENDS = (
-    (
-        "part2",
-        {
-            "use_plans": True,
-            "planner": "greedy",
-            "jobs": 1,
-            "backend": "process",
-            "exec": "columnar",
-            "partitions": 2,
-        },
-    ),
-    (
-        "part4",
-        {
-            "use_plans": True,
-            "planner": "greedy",
-            "jobs": 1,
-            "backend": "process",
-            "exec": "columnar",
-            "partitions": 4,
         },
     ),
 )
@@ -265,13 +212,13 @@ def workloads() -> List[WorkloadEntry]:
             "tc_chain",
             tc_n,
             lambda: (tc_program, chain_edb(tc_n)),
-            BACKENDS + EXEC_BACKENDS + PROC_BACKENDS + PART_BACKENDS,
+            BACKENDS + EXEC_BACKENDS + PROC_BACKENDS,
         ),
         (
             "same_generation",
             sg_n,
             lambda: (same_generation_program(), same_generation_edb(depth, 2)),
-            BACKENDS + EXEC_BACKENDS + PART_BACKENDS,
+            BACKENDS + EXEC_BACKENDS,
         ),
         (
             "skewed_fanout",
@@ -289,8 +236,7 @@ def workloads() -> List[WorkloadEntry]:
                 wide_dag_program(dag_width),
                 wide_dag_edb(dag_width, dag_length),
             ),
-            BACKENDS + EXEC_BACKENDS + JOBS_BACKENDS + PROC_BACKENDS
-            + PART_BACKENDS,
+            BACKENDS + EXEC_BACKENDS + JOBS_BACKENDS + PROC_BACKENDS,
         ),
         (
             "coarse_components",
@@ -332,9 +278,7 @@ def run_churn(
     db_by_mode: Dict[str, object] = {}
     for mode in ("columnar", "tuple"):
         for _ in range(best_of):
-            session = IncrementalSession(
-                program, churn_edb(n), exec=mode, partitions=1
-            )
+            session = IncrementalSession(program, churn_edb(n), exec=mode)
             maintenance = EvalStats()
             for op, pred, args in script:
                 maintenance.absorb(
@@ -362,7 +306,7 @@ def run_churn(
                 edb.add_fact(pred, args)
             else:
                 edb.remove_fact(pred, args)
-            rec_db, stats = seminaive_eval(program, edb, partitions=1)
+            rec_db, stats = seminaive_eval(program, edb)
             seconds += stats.seconds
         if best_rec is None or seconds < best_rec:
             best_rec = seconds
@@ -473,7 +417,7 @@ def run_batch_churn(
     batches = [compress(chunk) for chunk in chunks]
 
     def run_batched(journal=None):
-        session = IncrementalSession(program, churn_edb(n), partitions=1)
+        session = IncrementalSession(program, churn_edb(n))
         maintenance = EvalStats()
         for inserts, deletes in batches:
             if journal is not None:
@@ -494,7 +438,7 @@ def run_batch_churn(
 
     best_call = None
     for _ in range(best_of):
-        session = IncrementalSession(program, churn_edb(n), partitions=1)
+        session = IncrementalSession(program, churn_edb(n))
         maintenance = EvalStats()
         for chunk in chunks:
             for op, pred, args in chunk:
@@ -527,7 +471,7 @@ def run_batch_churn(
             edb.add_fact(pred, args)
         else:
             edb.remove_fact(pred, args)
-    scratch, _ = seminaive_eval(program, edb, partitions=1)
+    scratch, _ = seminaive_eval(program, edb)
     ok = batch_db == call_db == scratch
     if not ok:
         print(
@@ -638,7 +582,7 @@ def run_serve(
     for readers in (1, 4):
         best_qps = None
         for _ in range(best_of):
-            session = IncrementalSession(program, churn_edb(n), partitions=1)
+            session = IncrementalSession(program, churn_edb(n))
             server = DatalogServer(session)
             done = threading.Event()
             counts = [0] * readers
@@ -681,7 +625,7 @@ def run_serve(
                 )
                 ok = False
                 break
-            scratch, _ = seminaive_eval(program, churn_edb(n), partitions=1)
+            scratch, _ = seminaive_eval(program, churn_edb(n))
             if server.session.database != scratch:
                 print(
                     "FAIL serve: net-zero churn cycles diverged from the "
@@ -776,7 +720,7 @@ def run_query(
     best_goal = None
     best_warm = None
     for _ in range(best_of):
-        compiler = QueryCompiler(tc_program, jobs=1, partitions=1)
+        compiler = QueryCompiler(tc_program, jobs=1)
         answer = compiler.ask(goal, edb)
         if best_goal is None or answer.stats.seconds < best_goal:
             best_goal, goal_answer = answer.stats.seconds, answer
@@ -787,7 +731,7 @@ def run_query(
 
     best_mat = None
     for _ in range(best_of):
-        full, stats = seminaive_eval(tc_program, edb, jobs=1, partitions=1)
+        full, stats = seminaive_eval(tc_program, edb, jobs=1)
         if best_mat is None or stats.seconds < best_mat:
             best_mat, mat_db = stats.seconds, full
     from repro.datalog.parser import parse_query as _parse_query
@@ -807,7 +751,7 @@ def run_query(
 
     best_pmem = None
     for _ in range(best_of):
-        compiler = QueryCompiler(p_program, jobs=1, partitions=1)
+        compiler = QueryCompiler(p_program, jobs=1)
         answer = compiler.ask(p_goal, p_edb)
         if best_pmem is None or answer.stats.seconds < best_pmem:
             best_pmem, pmem_answer = answer.stats.seconds, answer
@@ -815,9 +759,7 @@ def run_query(
     best_magic = None
     for _ in range(best_of):
         plan = optimize(p_program, p_goal)
-        magic_answers, stats = plan.evaluate_stage(
-            "magic", p_edb, jobs=1, partitions=1
-        )
+        magic_answers, stats = plan.evaluate_stage("magic", p_edb, jobs=1)
         if best_magic is None or stats.seconds < best_magic:
             best_magic = stats.seconds
     if pmem_answer.answers != magic_answers:
@@ -990,7 +932,7 @@ def run(
                 f"jobs=2 {speedups[f'{name}/jobs2_vs_jobs1']:.2f}x vs jobs=1 "
                 f"({jobs2.scc_parallel_batches} parallel batches)"
             )
-        for label in ("proc2", "proc4", "part2", "part4"):
+        for label in ("proc2", "proc4"):
             if label in results and par_base is not None:
                 stats = results[label]
                 key = f"{name}/{label}_vs_jobs1"
@@ -1000,11 +942,6 @@ def run(
                     else float("inf")
                 )
                 notes.append(f"{label} {speedups[key]:.2f}x vs jobs=1")
-        if "part2" in results:
-            notes.append(
-                f"({results['part2'].partition_rounds} partitioned rounds, "
-                f"skew {results['part2'].partition_skew:.2f})"
-            )
         series.note(" ".join(notes))
     if churn_selected:
         churn_rows, churn_speedups, churn_ok = run_churn(best_of, series)
@@ -1073,16 +1010,6 @@ def main(argv: List[str] | None = None) -> int:
         "speedup is not physically possible there); the CI gate for "
         "the process backend's multi-core wall-time win",
     )
-    parser.add_argument(
-        "--require-part-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit non-zero unless some partN_vs_jobs1 speedup reaches "
-        "RATIO (skipped when fewer than 2 CPUs are visible, like the "
-        "proc gate); the CI gate for intra-component partitioning's "
-        "multi-core win on single-SCC workloads like tc_chain",
-    )
     args = parser.parse_args(argv)
 
     rows, speedups, ok = run(max(1, args.best_of), only=args.workloads)
@@ -1142,34 +1069,6 @@ def main(argv: List[str] | None = None) -> int:
             ok = False
         else:
             print(f"process backend speedup {best:.2f}x on {cpus} CPUs")
-    if args.require_part_speedup is not None:
-        cpus = record["cpus"]
-        best = max(
-            (
-                value
-                for key, value in speedups.items()
-                if "/part" in key and key.endswith("_vs_jobs1")
-            ),
-            default=0.0,
-        )
-        if cpus < 2:
-            print(
-                f"only {cpus} CPU visible; partition speedup is not "
-                f"physically possible here (best {best:.2f}x) — gate skipped"
-            )
-        elif best < args.require_part_speedup:
-            print(
-                f"intra-component partition speedup regressed: best "
-                f"{best:.2f}x < {args.require_part_speedup:.2f}x over "
-                f"jobs=1 on {cpus} CPUs",
-                file=sys.stderr,
-            )
-            ok = False
-        else:
-            print(
-                f"intra-component partition speedup {best:.2f}x on "
-                f"{cpus} CPUs"
-            )
     return 0 if ok else 1
 
 

@@ -95,7 +95,6 @@ def cmd_optimize(args) -> int:
     jobs = _checked_jobs(args)
     backend = _checked_backend(args)
     exec_mode = _checked_exec(args)
-    partitions = _checked_partitions(args)
     result = optimize(program, goal)
     if args.evaluate is not None:
         edb = _load_edb(args.facts)
@@ -106,7 +105,6 @@ def cmd_optimize(args) -> int:
             jobs=jobs,
             backend=backend,
             exec=exec_mode,
-            partitions=partitions,
         )
         _print_answers(answers)
         print(
@@ -154,13 +152,6 @@ def _checked_exec(args) -> str:
     return resolve_exec(args.exec)
 
 
-def _checked_partitions(args) -> int:
-    """Validate --partitions / $REPRO_PARTITIONS up front."""
-    from repro.engine.partition import resolve_partitions
-
-    return resolve_partitions(args.partitions)
-
-
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     goal = parse_query(args.query)
@@ -174,7 +165,6 @@ def cmd_run(args) -> int:
         jobs=jobs,
         backend=backend,
         exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
     )
     strategy = "factored" if result.simplified is not None else "magic"
     _print_answers(answers)
@@ -204,8 +194,6 @@ def _print_stats(stats) -> None:
         ("scc_batches_shipped", stats.scc_batches_shipped),
         ("backend_retries", stats.backend_retries),
         ("backend_fallbacks", stats.backend_fallbacks),
-        ("partition_rounds", stats.partition_rounds),
-        ("partition_skew", f"{stats.partition_skew:.2f}"),
         ("seconds", f"{stats.seconds:.4f}"),
     ]
     for name, value in rows:
@@ -226,7 +214,6 @@ def cmd_query(args) -> int:
         jobs=_checked_jobs(args),
         backend=_checked_backend(args),
         exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
     )
     answer = compiler.ask(goal, edb)
     _print_answers(answer.values())
@@ -254,7 +241,6 @@ def cmd_explain(args) -> int:
     jobs = _checked_jobs(args)
     backend = _checked_backend(args)
     _checked_exec(args)  # validated; provenance evaluation is tuple-mode
-    _checked_partitions(args)  # validated; provenance runs unpartitioned
     try:
         tree = explain_fact(
             program, edb, fact, planner=args.planner, jobs=jobs, backend=backend
@@ -363,7 +349,6 @@ def _serve_session(args, program, edb):
         jobs=_checked_jobs(args),
         backend=_checked_backend(args),
         exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
         record_provenance=args.provenance,
         max_seconds=args.timeout,
     )
@@ -486,7 +471,6 @@ def cmd_recover(args) -> int:
         jobs=_checked_jobs(args),
         backend=_checked_backend(args),
         exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
         record_provenance=args.provenance,
         max_seconds=args.timeout,
     )
@@ -536,16 +520,6 @@ def _add_engine_options(parser) -> None:
         "(default: $REPRO_EXEC or columnar; answers and counters "
         "are identical)",
     )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="hash-split each delta round inside recursive components "
-        "into N partitions run through the backend's executor "
-        "(default: $REPRO_PARTITIONS or 1; answers and counters "
-        "are identical)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the full evaluation counter dump (probes, plan "
-        "cache, SCC batches, partition rounds/skew) to stderr",
+        "cache, SCC batches) to stderr",
     )
     _add_engine_options(p)
     p.set_defaults(func=cmd_run)

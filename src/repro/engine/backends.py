@@ -182,7 +182,6 @@ class ComponentSpec:
     record: bool
     relations: Dict[Signature, Relation]
     exec_mode: str = "tuple"
-    partitions: int = 1
 
     @classmethod
     def from_task(cls, scheduler, task, db: Database, fact_base: int) -> "ComponentSpec":
@@ -205,7 +204,6 @@ class ComponentSpec:
             record=scheduler.recorder is not None,
             relations=db.snapshot(sorted(needed)).relations,
             exec_mode=scheduler.exec_mode,
-            partitions=scheduler.partitions,
         )
 
     def fact_count(self) -> int:
@@ -306,12 +304,6 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
         fact_base=spec.fact_base,
         cache=_worker_cache(spec.planner) if spec.use_plans else None,
         exec_mode=spec.exec_mode,
-        # Partitioning inside a pool worker stays serial: a daemonic
-        # worker cannot spawn its own process group, and nested thread
-        # pools per component would oversubscribe.  Counters (including
-        # partition_rounds/partition_skew) are unchanged by mechanism.
-        partitions=spec.partitions,
-        partition_backend="serial",
     )
     run.execute(db, stats)
     deltas = {

@@ -68,7 +68,6 @@ from repro.engine.joins import (
     relation_from_tuples,
 )
 from repro.engine.unify import match, match_term
-from repro.engine.partition import make_partition_executor, resolve_partitions
 from repro.engine.plan import PlanCache
 from repro.engine.provenance import (
     DerivationRecorder,
@@ -126,17 +125,11 @@ class IncrementalSession:
     DRed restorations, ``facts`` added).  ``session.stats`` accumulates
     across the initial evaluation and every pass.
 
-    ``planner``/``jobs``/``backend``/``use_plans``/``exec``/
-    ``partitions`` mirror
+    ``planner``/``jobs``/``backend``/``use_plans``/``exec`` mirror
     :func:`~repro.engine.seminaive.seminaive_eval`; the parallel knobs
     apply to the initial materialization (maintenance passes are
     sequential — affected components are usually few), and the planner
-    and plan/interpreter choice govern every maintenance join.
-    ``partitions > 1`` additionally hash-splits the forward delta of
-    each insert-maintenance round through the serial partition
-    executor — same emissions in partition order, counted in
-    ``partition_rounds``/``partition_skew`` like the evaluators;
-    running maintenance partitions in parallel is future work.  For
+    and plan/interpreter choice govern every maintenance join.  For
     any knob combination the maintained database is bit-identical to a
     from-scratch evaluation on the final EDB.
 
@@ -165,7 +158,6 @@ class IncrementalSession:
         backend=None,
         use_plans: bool = True,
         exec: Optional[str] = None,
-        partitions: Optional[int] = None,
         record_provenance: bool = False,
         max_iterations: Optional[int] = None,
         max_facts: Optional[int] = None,
@@ -191,15 +183,6 @@ class IncrementalSession:
         self._cache: Optional[PlanCache] = None
         self.jobs = jobs
         self.backend = backend
-        self.partitions = resolve_partitions(partitions)
-        #: Maintenance partitioning stays serial regardless of the
-        #: backend: affected deltas are usually small and the serial
-        #: executor keeps the counters (and the parity argument)
-        #: without any pool lifetime to manage per pass.
-        self._partitioner = make_partition_executor(self.partitions, "serial")
-        #: Set by :meth:`_run_rule` when a variant actually partitioned;
-        #: the per-round loops fold it into ``partition_rounds``.
-        self._round_partitioned = False
         self._query_compiler = None
 
         # Component structure (shared with the evaluators): tasks in
@@ -251,7 +234,7 @@ class IncrementalSession:
                 max_iterations=max_iterations, max_facts=max_facts,
                 max_seconds=self.max_seconds,
                 use_plans=use_plans, planner=planner, jobs=jobs, backend=backend,
-                exec=self.exec_mode, partitions=self.partitions,
+                exec=self.exec_mode,
             )
             self._derivations = None
             self.stats.absorb(init_stats)
@@ -306,7 +289,6 @@ class IncrementalSession:
                 backend=self.backend,
                 use_plans=self.use_plans,
                 exec=self.exec_mode,
-                partitions=self.partitions,
                 max_iterations=self.max_iterations,
                 max_facts=self.max_facts,
                 max_seconds=self.max_seconds,
@@ -612,7 +594,6 @@ class IncrementalSession:
         overrides: Dict[int, object],
         emitted: List[FactTuple],
         stats: EvalStats,
-        partition: bool = False,
     ) -> None:
         """One rule execution appending head tuples (plans or interpreter).
 
@@ -620,28 +601,15 @@ class IncrementalSession:
         routes through: eligible plans run batch-at-a-time and their
         interned rows are decoded back to term tuples (the delta
         bookkeeping above works on terms), with a per-call fallback to
-        the tuple executor — counters are identical either way.  With
-        ``partition=True`` (the forward delta fixpoint) and
-        ``partitions > 1``, the delta is hash-split through the serial
-        partition executor first; a decline falls through to the
-        single-call paths untouched.
+        the tuple executor — counters are identical either way.
         """
         if self._cache is not None:
             plan = self._cache.plan(
                 rule, roles, stats, db=self.database, overrides=overrides
             )
             before = len(emitted)
-            columnar = self.exec_mode == "columnar"
-            parted = None
-            if partition and self._partitioner is not None:
-                parted = self._partitioner.run(
-                    plan, self.database, overrides, roles[0][0], stats, columnar
-                )
             rows = None
-            if parted is not None:
-                self._round_partitioned = True
-                rows = parted
-            elif columnar:
+            if self.exec_mode == "columnar":
                 rows = execute_columnar(
                     plan, self.database, overrides or None, stats
                 )
@@ -650,12 +618,9 @@ class IncrementalSession:
                     self.database, overrides or None, emitted.append, stats
                 )
             elif rows:
-                if columnar:
-                    emitted.extend(
-                        decode_rows(self.database.dictionary.terms, rows)
-                    )
-                else:
-                    emitted.extend(rows)
+                emitted.extend(
+                    decode_rows(self.database.dictionary.terms, rows)
+                )
             if plan.estimated_rows is not None:
                 stats.record_estimate(plan.estimated_rows, len(emitted) - before)
         else:
@@ -731,7 +696,6 @@ class IncrementalSession:
             rounds += 1
             self._guard_rounds(task, rounds)
             stats.incr_rounds += 1
-            self._round_partitioned = False
             stop = {sig: len(rels[sig]) for sig in scc_set}
             delta_views = {
                 sig: rels[sig].view(delta_start[sig], stop[sig])
@@ -761,14 +725,12 @@ class IncrementalSession:
                         continue
                     self._run_rule(
                         rule, ((pos_j, "delta"),), {pos_j: delta},
-                        emitted, stats, partition=True,
+                        emitted, stats,
                     )
                 if emitted:
                     stats.inferences += len(emitted)
                     new[head_sig] |= set(emitted) - rels[head_sig].tuples
 
-            if self._round_partitioned:
-                stats.partition_rounds += 1
             for sig in scc_set:
                 delta_start[sig] = stop[sig]
             changed = False
@@ -1074,10 +1036,6 @@ class IncrementalSession:
             recorder=recorder,
             cache=self._cache,
             exec_mode=self.exec_mode,
-            # Serial partitioning, like the pool workers: a maintenance
-            # recompute is one component deep inside a maintenance pass.
-            partitions=self.partitions,
-            partition_backend="serial",
         )
         local = EvalStats()
         run.execute(self.database, local)

@@ -38,7 +38,6 @@ def naive_eval(
     backend=None,
     max_seconds: Optional[float] = None,
     exec: Optional[str] = None,
-    partitions: Optional[int] = None,
 ) -> Tuple[Database, EvalStats]:
     """Evaluate ``program`` over ``edb`` to fixpoint, naively.
 
@@ -55,9 +54,6 @@ def naive_eval(
     :func:`repro.engine.seminaive.seminaive_eval` for all the knobs).
     Naive mode keeps tuple-at-a-time fixpoints internally (it is the
     oracle); ``exec`` still controls the non-recursive passes.
-    ``partitions`` is accepted for interface parity but naive fixpoints
-    ignore it — there is no delta to split, and the oracle stays
-    maximally simple.
     """
     db = edb.copy()
     stats = EvalStats()
@@ -75,7 +71,6 @@ def naive_eval(
         max_facts=max_facts,
         max_seconds=max_seconds,
         exec=exec,
-        partitions=partitions,
     )
     scheduler.run(db, stats)
 

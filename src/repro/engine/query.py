@@ -89,7 +89,6 @@ from repro.datalog.terms import NIL, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names
 from repro.engine.columnar import resolve_exec
 from repro.engine.database import Database
-from repro.engine.partition import resolve_partitions
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
@@ -311,7 +310,6 @@ class CompiledQuery:
             max_facts=c.max_facts,
             max_seconds=c.max_seconds,
             exec=c.exec_mode,
-            partitions=c.partitions,
             cache=PlanCache(c.planner or "greedy") if c.use_plans else None,
         )
 
@@ -478,11 +476,8 @@ class QueryCompiler:
         answer.answers        # raw Term tuples
         answer.strategy       # "factored" | "counting" | "magic" | ...
 
-    ``planner``/``jobs``/``backend``/``use_plans``/``exec``/
-    ``partitions`` mirror the evaluator knobs (``partitions`` splits
-    delta rounds inside the rewritten program's recursive components —
-    rarely useful for point queries, always counter-identical);
-    ``use_instance_checks`` enables instance-level (EDB-reading)
+    ``planner``/``jobs``/``backend``/``use_plans``/``exec`` mirror the
+    evaluator knobs; ``use_instance_checks`` enables instance-level (EDB-reading)
     factorability certification, in which case entries are invalidated
     on every EDB change (:meth:`note_edb_change`).
     """
@@ -496,7 +491,6 @@ class QueryCompiler:
         backend: Optional[str] = None,
         use_plans: bool = True,
         exec: Optional[str] = None,
-        partitions: Optional[int] = None,
         use_instance_checks: bool = False,
         max_iterations: Optional[int] = None,
         max_facts: Optional[int] = None,
@@ -510,7 +504,6 @@ class QueryCompiler:
         self.backend = backend
         self.use_plans = use_plans
         self.exec_mode = resolve_exec(exec)
-        self.partitions = resolve_partitions(partitions)
         self.use_instance_checks = use_instance_checks
         self.max_iterations = max_iterations
         self.max_facts = max_facts
@@ -589,7 +582,6 @@ class QueryCompiler:
                 jobs=self.jobs,
                 backend=self.backend,
                 exec=self.exec_mode,
-                partitions=self.partitions,
                 max_iterations=self.max_iterations,
                 max_facts=self.max_facts,
                 max_seconds=self.max_seconds,

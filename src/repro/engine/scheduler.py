@@ -50,7 +50,6 @@ from repro.engine.columnar import execute_columnar, resolve_exec
 from repro.engine.cost import resolve_planner
 from repro.engine.database import Database, FactTuple, Relation, RowTuple
 from repro.engine.joins import _resolve, instantiate_head, join_rule, relation_from_tuples
-from repro.engine.partition import make_partition_executor, resolve_partitions
 from repro.engine.plan import PlanCache, RoleSpec
 from repro.engine.stats import ComponentTimeout, EvalStats, NonTerminationError
 
@@ -209,14 +208,6 @@ class SCCScheduler:
     :class:`~repro.engine.backends.ExecutorBackend` instance.  With
     ``jobs == 1`` the backend is never consulted — every schedule is
     the sequential one.
-
-    ``partitions`` adds data parallelism *inside* each recursive
-    component's fixpoint (``None`` reads ``REPRO_PARTITIONS``,
-    defaulting to 1): every round's delta is hash-partitioned and the
-    same compiled plan runs per partition, on a mechanism matching the
-    backend name (see :mod:`repro.engine.partition`).  Facts,
-    inferences, and iterations stay bit-identical to ``partitions=1``;
-    probes may differ.
     """
 
     def __init__(
@@ -233,7 +224,6 @@ class SCCScheduler:
         recorder=None,
         cache: Optional[PlanCache] = None,
         exec: Optional[str] = None,
-        partitions: Optional[int] = None,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -244,7 +234,6 @@ class SCCScheduler:
         self.jobs = resolve_jobs(jobs)
         self.backend = make_backend(backend)
         self.exec_mode = resolve_exec(exec)
-        self.partitions = resolve_partitions(partitions)
         self.max_iterations = max_iterations
         self.max_facts = max_facts
         self.max_seconds = resolve_timeout(max_seconds)
@@ -306,8 +295,6 @@ class SCCScheduler:
             fact_base=fact_base,
             cache=self.cache,
             exec_mode=self.exec_mode,
-            partitions=self.partitions,
-            partition_backend=self.backend.name,
         )
 
     def run(self, db: Database, stats: EvalStats) -> None:
@@ -400,9 +387,6 @@ class ComponentRun:
         "rounds",
         "_deadline",
         "exec_mode",
-        "partitions",
-        "partition_backend",
-        "_partition_executor",
     )
 
     def __init__(
@@ -418,8 +402,6 @@ class ComponentRun:
         fact_base: int = 0,
         cache: Optional[PlanCache] = None,
         exec_mode: str = "tuple",
-        partitions: int = 1,
-        partition_backend: str = "serial",
     ):
         self.task = task
         self.mode = mode
@@ -438,15 +420,6 @@ class ComponentRun:
         #: kernel (repro.engine.columnar); anything else — and every
         #: provenance or interpreter run — stays tuple-at-a-time.
         self.exec_mode = exec_mode
-        #: Intra-component delta partitioning (repro.engine.partition):
-        #: with partitions > 1 the semi-naive rounds hash-split their
-        #: deltas and run each partition on the mechanism named by
-        #: partition_backend.  Naive mode and provenance runs ignore it
-        #: (naive has no delta to split; provenance needs the single
-        #: sequential emission stream its recorder observes).
-        self.partitions = partitions
-        self.partition_backend = partition_backend
-        self._partition_executor = None
 
     # -- budget guards --------------------------------------------------
 
@@ -495,53 +468,30 @@ class ComponentRun:
             # this value (and stays exact if the backends ever mix).
             stats.provenance_plan_ratio = 1.0 if self.cache is not None else 0.0
         if (
-            self.partitions > 1
-            and self.task.recursive
-            and self.mode == "seminaive"
+            self.exec_mode == "columnar"
             and self.recorder is None
             and self.cache is not None
         ):
-            # Partitioning engages only where a delta exists to split:
-            # the semi-naive fixpoint of a recursive component, without
-            # a provenance recorder (which needs the single sequential
-            # emission stream) and with compiled plans (the partition
-            # key comes from the compiled join order).
-            self._partition_executor = make_partition_executor(
-                self.partitions,
-                self.partition_backend,
-                self.exec_mode,
-                self.cache.planner,
-            )
-        try:
-            if (
-                self.exec_mode == "columnar"
-                and self.recorder is None
-                and self.cache is not None
-            ):
-                # Adopt (or mint) the database's term dictionary lazily so
-                # every caller that builds a ComponentRun directly — the
-                # process-backend worker, incremental recomputes — gets the
-                # columnar path without its own setup step.
-                db.ensure_dictionary()
-                if not self.task.recursive:
-                    self._eval_once_columnar(db, stats)
-                elif self.mode == "naive":
-                    self._eval_naive(db, stats)
-                else:
-                    self._eval_seminaive_columnar(db, stats)
-                return
+            # Adopt (or mint) the database's term dictionary lazily so
+            # every caller that builds a ComponentRun directly — the
+            # process-backend worker, incremental recomputes — gets the
+            # columnar path without its own setup step.
+            db.ensure_dictionary()
             if not self.task.recursive:
-                self._eval_once(db, stats)
+                self._eval_once_columnar(db, stats)
             elif self.mode == "naive":
                 self._eval_naive(db, stats)
-            elif self.cache is not None:
-                self._eval_seminaive_plans(db, stats)
             else:
-                self._eval_seminaive_interpreted(db, stats)
-        finally:
-            if self._partition_executor is not None:
-                self._partition_executor.close()
-                self._partition_executor = None
+                self._eval_seminaive_columnar(db, stats)
+            return
+        if not self.task.recursive:
+            self._eval_once(db, stats)
+        elif self.mode == "naive":
+            self._eval_naive(db, stats)
+        elif self.cache is not None:
+            self._eval_seminaive_plans(db, stats)
+        else:
+            self._eval_seminaive_interpreted(db, stats)
 
     # -- provenance plumbing ----------------------------------------------
 
@@ -688,7 +638,6 @@ class ComponentRun:
         scc_set = self.task.sigs
         cache = self.cache
         recorder = self.recorder
-        partitioner = self._partition_executor
         rels: Dict[Signature, Relation] = {
             sig: db.relation(*sig) for sig in scc_set
         }
@@ -725,7 +674,6 @@ class ComponentRun:
         first_round = True
         while True:
             self._begin_round(stats)
-            round_partitioned = False
             if recorder is not None:
                 recorder.start_round()
             # Log lengths at round start; nothing is appended mid-round, so
@@ -785,22 +733,7 @@ class ComponentRun:
                             rule, roles, stats, db=db, overrides=overrides
                         )
                         before = len(emitted)
-                        parted = None
-                        if partitioner is not None:
-                            # roles[0] is the variant's delta occurrence.
-                            # The plan was fetched (and its estimate is
-                            # recorded) exactly once with the full-delta
-                            # overrides, so plan-cache counters match
-                            # partitions=1; the partitions' emissions
-                            # concatenate in partition order below.
-                            parted = partitioner.run(
-                                plan, db, overrides, roles[0][0], stats, False
-                            )
-                        if parted is None:
-                            run_plan(plan, overrides)
-                        else:
-                            emitted.extend(parted)
-                            round_partitioned = True
+                        run_plan(plan, overrides)
                         if plan.estimated_rows is not None:
                             stats.record_estimate(
                                 plan.estimated_rows, len(emitted) - before
@@ -811,8 +744,6 @@ class ComponentRun:
                         new[sig] |= set(emitted) - rels[sig].tuples
 
             changed = False
-            if round_partitioned:
-                stats.partition_rounds += 1
             # Advance: delta becomes old (a log-offset bump); full absorbs new.
             for sig in scc_set:
                 delta_start[sig] = stop[sig]
@@ -850,7 +781,6 @@ class ComponentRun:
         rules = self.task.rules
         scc_set = self.task.sigs
         cache = self.cache
-        partitioner = self._partition_executor
         rels: Dict[Signature, Relation] = {
             sig: db.relation(*sig) for sig in scc_set
         }
@@ -888,7 +818,6 @@ class ComponentRun:
         first_round = True
         while True:
             self._begin_round(stats)
-            round_partitioned = False
             stop = {sig: len(rels[sig]) for sig in scc_set}
             delta_views = {
                 sig: rels[sig].view(delta_start[sig], stop[sig]) for sig in scc_set
@@ -929,18 +858,7 @@ class ComponentRun:
                             rule, roles, stats, db=db, overrides=overrides
                         )
                         before = len(emitted)
-                        rows = None
-                        if partitioner is not None:
-                            # roles[0] is the variant's delta occurrence;
-                            # the executor pre-checks columnar capability
-                            # so partitions never mix execution modes.
-                            rows = partitioner.run(
-                                plan, db, overrides, roles[0][0], stats, True
-                            )
-                            if rows is not None:
-                                round_partitioned = True
-                        if rows is None:
-                            rows = execute_columnar(plan, db, overrides, stats)
+                        rows = execute_columnar(plan, db, overrides, stats)
                         if rows is None:
                             facts = []
                             plan.execute(db, overrides, facts.append, stats)
@@ -966,8 +884,6 @@ class ComponentRun:
                         new[sig] = set(emitted) - rels[sig].col_set()
 
             changed = False
-            if round_partitioned:
-                stats.partition_rounds += 1
             for sig in scc_set:
                 delta_start[sig] = stop[sig]
             for sig in scc_set:
@@ -1082,9 +998,7 @@ class ComponentRun:
         round until a round adds nothing — quadratically redundant, but
         trivially correct, which is exactly why ``naive_eval`` is the
         oracle the rest of the suite is checked against.  (Provenance
-        runs on the semi-naive schedule; ``recorder`` is unused here.
-        ``partitions`` is also ignored: naive rounds have no delta to
-        split, and the oracle stays maximally simple.)
+        runs on the semi-naive schedule; ``recorder`` is unused here.)
         """
         rules = self.task.rules
         cache = self.cache

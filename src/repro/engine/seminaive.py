@@ -47,7 +47,6 @@ def seminaive_eval(
     backend=None,
     max_seconds: Optional[float] = None,
     exec: Optional[str] = None,
-    partitions: Optional[int] = None,
 ) -> Tuple[Database, EvalStats]:
     """Evaluate ``program`` over ``edb`` to fixpoint, semi-naively.
 
@@ -88,17 +87,6 @@ def seminaive_eval(
     forces the tuple-at-a-time executor everywhere; ``None`` reads
     ``REPRO_EXEC``.  The two modes are counter-identical — the tuple
     path is kept as the differential-fuzz oracle.
-
-    ``partitions`` enables round-level data parallelism *inside* one
-    recursive component's fixpoint: each round's delta rows are
-    hash-partitioned by the plan's first probe key (whole-row hash when
-    no key exists) and the same compiled plan runs on the disjoint
-    partitions concurrently, merging at the round barrier
-    (:mod:`repro.engine.partition`).  ``None`` reads
-    ``REPRO_PARTITIONS``, defaulting to 1 — today's unpartitioned
-    path.  Any value keeps ``facts``/``inferences``/``iterations``
-    bit-identical to ``partitions=1``; probe counts may differ because
-    per-partition index builds probe independently.
     """
     db = edb.copy()
     stats = EvalStats()
@@ -116,7 +104,6 @@ def seminaive_eval(
         max_facts=max_facts,
         max_seconds=max_seconds,
         exec=exec,
-        partitions=partitions,
     )
     scheduler.run(db, stats)
 

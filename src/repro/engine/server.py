@@ -307,7 +307,6 @@ class DatalogServer:
             backend=session.backend,
             use_plans=session.use_plans,
             exec=session.exec_mode,
-            partitions=session.partitions,
             max_iterations=session.max_iterations,
             max_facts=session.max_facts,
             max_seconds=session.max_seconds,

@@ -116,15 +116,6 @@ class EvalStats:
     (batches that exhausted their retries and degraded to the serial
     backend).  Both stay zero on healthy runs — the determinism fuzz
     suite relies on that.
-
-    Intra-component partitioning (:mod:`repro.engine.partition`) adds
-    ``partition_rounds`` (fixpoint rounds in which at least one delta
-    variant actually executed partitioned) and ``partition_skew`` (the
-    worst observed ``max/mean`` partition size over all splits — 1.0
-    is a perfectly even hash, ``partitions`` means everything landed
-    in one bucket).  Rounds sum across components; skew merges by
-    maximum, so a barrier absorb reports the worst split anywhere in
-    the evaluation.
     """
 
     facts: int = 0
@@ -143,8 +134,6 @@ class EvalStats:
     rederived: int = 0
     backend_retries: int = 0
     backend_fallbacks: int = 0
-    partition_rounds: int = 0
-    partition_skew: float = 0.0
     estimated_vs_actual: List[Tuple[float, int]] = field(default_factory=list)
     per_predicate: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
@@ -225,9 +214,6 @@ class EvalStats:
         self.rederived += other.rederived
         self.backend_retries += other.backend_retries
         self.backend_fallbacks += other.backend_fallbacks
-        self.partition_rounds += other.partition_rounds
-        if other.partition_skew > self.partition_skew:
-            self.partition_skew = other.partition_skew
         room = MAX_ESTIMATE_SAMPLES - len(self.estimated_vs_actual)
         if room > 0:
             self.estimated_vs_actual.extend(other.estimated_vs_actual[:room])

@@ -64,11 +64,7 @@ class DeductiveDatabase:
     ``"columnar"`` (the default) batches interned rows through the
     column kernel, ``"tuple"`` forces the tuple-at-a-time oracle —
     answers and counters are identical either way (``None`` defers to
-    ``REPRO_EXEC``).  ``partitions`` hash-splits the delta rounds
-    *inside* recursive components of the compiled/materialized program
-    (``None`` defers to ``REPRO_PARTITIONS``; answers and counters are
-    identical for every partition count — see
-    :mod:`repro.engine.partition`).  ``max_seconds`` arms a per-component
+    ``REPRO_EXEC``).  ``max_seconds`` arms a per-component
     wall-clock watchdog on materialized sessions (``None`` defers to
     ``REPRO_TIMEOUT``): a runaway maintenance fixpoint rolls back with
     :class:`~repro.engine.stats.MaintenanceError` instead of hanging.
@@ -84,7 +80,6 @@ class DeductiveDatabase:
         backend: Optional[str] = None,
         use_plans: bool = True,
         exec: Optional[str] = None,
-        partitions: Optional[int] = None,
         max_seconds: Optional[float] = None,
     ):
         self._rules: List = []
@@ -105,7 +100,6 @@ class DeductiveDatabase:
         self._backend = backend
         self._use_plans = use_plans
         self._exec = exec
-        self._partitions = partitions
         self._max_seconds = max_seconds
 
     # ------------------------------------------------------------------
@@ -252,7 +246,6 @@ class DeductiveDatabase:
                 backend=self._backend,
                 use_plans=self._use_plans,
                 exec=self._exec,
-                partitions=self._partitions,
                 use_instance_checks=self._use_instance_checks,
                 max_seconds=self._max_seconds,
             )
@@ -320,7 +313,6 @@ class DeductiveDatabase:
         kwargs.setdefault("backend", self._backend)
         kwargs.setdefault("use_plans", self._use_plans)
         kwargs.setdefault("exec", self._exec)
-        kwargs.setdefault("partitions", self._partitions)
         kwargs.setdefault("max_seconds", self._max_seconds)
         program, edb_view = self._effective()
         bridged = {

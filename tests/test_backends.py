@@ -5,7 +5,8 @@ the compact ``Relation``/``ComponentSpec`` snapshot forms (statistics
 and index distinct-key counts preserved), spawn-safe worker
 initialization, parallel determinism across ``backend=process`` at
 ``jobs ∈ {1, 2, 4}``, error propagation across the process boundary,
-and the ``--backend``/``REPRO_BACKEND`` validation mirroring the
+thread-backend grouped shipping of small same-depth components, and
+the ``--backend``/``REPRO_BACKEND`` validation mirroring the
 ``--jobs``/``REPRO_JOBS`` handling.
 """
 
@@ -333,3 +334,42 @@ class TestSessionBackend:
             answers[backend] = db.ask("reach(1, Y)")
         assert answers["serial"] == answers["thread"] == answers["process"]
         assert answers["serial"] == {(2,), (3,), (4,)}
+
+
+class TestThreadGroupedShipping:
+    def test_small_components_share_one_submission(self):
+        width = 5
+        program = coarse_components_program(width=width)
+        edb = coarse_components_edb(width=width, length=6)
+        ref_db, ref_stats = seminaive_eval(program, edb, jobs=1)
+        assert ref_stats.scc_batches_shipped == 0
+        db, stats = seminaive_eval(program, edb, jobs=2, backend="thread")
+        assert db == ref_db
+        assert stats.facts == ref_stats.facts
+        assert stats.inferences == ref_stats.inferences
+        # All five closures are tiny, same-depth components: one pool
+        # submission carries the whole group.
+        assert stats.scc_batches_shipped == 1
+
+    def test_large_components_ship_alone(self):
+        # Two components over >SMALL_COMPONENT_FACTS facts each plus
+        # three tiny ones: the big ones get their own submissions, the
+        # small ones still share one grouped submission.
+        lines = []
+        edb = Database()
+        for i in range(2):
+            lines.append(f"t{i}(X, Y) :- e{i}(X, Y).")
+            lines.append(f"t{i}(X, Y) :- t{i}(X, Z), e{i}(Z, Y).")
+            for j in range(600):
+                edb.add_fact(f"e{i}", (j, j + 10_000))
+        for i in range(2, 5):
+            lines.append(f"t{i}(X, Y) :- e{i}(X, Y).")
+            lines.append(f"t{i}(X, Y) :- t{i}(X, Z), e{i}(Z, Y).")
+            for j in range(4):
+                edb.add_fact(f"e{i}", (j, j + 1))
+        program = parse_program("\n".join(lines))
+        ref_db, ref_stats = seminaive_eval(program, edb, jobs=1)
+        db, stats = seminaive_eval(program, edb, jobs=2, backend="thread")
+        assert db == ref_db
+        assert stats.facts == ref_stats.facts
+        assert stats.scc_batches_shipped == 1

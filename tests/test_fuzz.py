@@ -197,61 +197,6 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
             )
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    program_seed=st.integers(0, 10_000),
-    edb_seed=st.integers(0, 10_000),
-    n=st.integers(3, 8),
-)
-def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
-    """Hash-partitioned delta execution against the unpartitioned oracle.
-
-    ``partitions=N`` splits each round's delta by the plan's first join
-    key and runs the same compiled plan per disjoint partition, so the
-    emission multiset — and with it ``facts``, ``inferences``, and
-    ``iterations`` — must be bit-identical to ``partitions=1`` for
-    every partition count × partition backend × execution mode.
-    ``probes`` is deliberately *not* compared: shared non-delta steps
-    resolve once per partition instead of once per call (the same
-    caveat as DRed maintenance order under the columnar kernel).  The
-    serial executor is the reference interleaving, the thread and
-    process executors must reproduce it at their round barriers —
-    process workers re-derive from shipped log suffixes, so this also
-    checks the append-only sync protocol end to end.
-    """
-    program = random_program(program_seed)
-    edb = random_edb(edb_seed, n=n)
-    db_ref, stats_ref = seminaive_eval(
-        program, edb, planner="greedy", partitions=1
-    )
-    assert stats_ref.partition_rounds == 0
-    for exec_mode in ("tuple", "columnar"):
-        for backend in ("serial", "thread", "process"):
-            for parts in (1, 2, 4):
-                db, stats = seminaive_eval(
-                    program,
-                    edb,
-                    planner="greedy",
-                    exec=exec_mode,
-                    backend=backend,
-                    partitions=parts,
-                )
-                assert db == db_ref, (
-                    f"partitions={parts} backend={backend} exec={exec_mode} "
-                    f"diverged on seed {program_seed}"
-                )
-                for counter in ("facts", "inferences", "iterations"):
-                    assert getattr(stats, counter) == getattr(
-                        stats_ref, counter
-                    ), (
-                        f"{counter} diverged on seed {program_seed} with "
-                        f"partitions={parts} backend={backend} exec={exec_mode}"
-                    )
-                if parts == 1:
-                    assert stats.partition_rounds == 0
-                assert stats.backend_fallbacks == 0
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     program_seed=st.integers(0, 10_000),
